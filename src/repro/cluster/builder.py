@@ -27,6 +27,8 @@ class Cluster:
 
     def __init__(self, config: Optional[TestbedConfig] = None, trace: bool = False):
         self.config = config or TestbedConfig()
+        # fields may have been edited since construction: re-check them
+        self.config.mpi.validate()
         self.sim = Simulator()
         self.tracer = Tracer(enabled=trace)
         if self.config.topology == "fat-tree":

@@ -333,13 +333,10 @@ class FTManager:
         ep.cq._entries = kept
 
     def _wake(self, ep: "Endpoint") -> None:
-        """Fire the survivor's progress-wait signals so a program parked
-        in wait()/waitall() observes its PROC_FAILED completions."""
-        cq = ep.cq
-        if cq._notify is not None:
-            sig, cq._notify = cq._notify, None
-            sig.fire(self.sim, None)
-        ep._ring_signal_fire()
+        """Wake the survivor's progress engine through its CQ, so a
+        program parked in wait()/waitall() observes its PROC_FAILED
+        completions (the park resumes at once when they satisfy it)."""
+        ep.cq.wake()
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

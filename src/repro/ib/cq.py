@@ -3,9 +3,19 @@
 A CQ collects :class:`~repro.ib.wr.WC` entries from any number of QPs
 (the paper's MPI associates *all* of a process's send and receive queues
 with a single CQ, and so does ``repro.mpi``).  Consumers poll; a blocked
-consumer can wait on :meth:`wait_nonempty`, which hands out a one-shot
-:class:`~repro.sim.waitables.Signal` re-armed on each wait — the simulation
-analogue of the verbs completion-channel / ``ibv_req_notify_cq`` pattern.
+consumer parks on the CQ — the simulation analogue of the verbs
+completion-channel / ``ibv_req_notify_cq`` pattern — in one of two ways:
+
+* :meth:`wait_nonempty` hands out a one-shot
+  :class:`~repro.sim.waitables.Signal` re-armed on each wait;
+* a *waker* — any object with a ``wake()`` method, set once with
+  :meth:`set_waker` — is called on every :meth:`wake` and decides itself
+  whether anyone is parked.  The MPI progress engine installs one so a
+  wake-up can be charged together with its poll (one agenda entry per
+  ``req_notify`` → ``poll_cq`` round trip instead of two).
+
+Every wake-up goes through :meth:`wake` — a push, or an out-of-band
+nudge such as the failure detector completing a request with an error.
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ class CompletionQueue:
         self.name = name
         self._entries: Deque[WC] = deque()
         self._notify: Optional[Signal] = None
+        #: the consumer's waker (see :meth:`set_waker`)
+        self._waker = None
         #: total completions ever pushed (observability)
         self.total_completions = 0
 
@@ -41,6 +53,18 @@ class CompletionQueue:
             raise CQOverflow(f"{self.name}: more than {self.depth} outstanding CQEs")
         self._entries.append(wc)
         self.total_completions += 1
+        # open-coded wake() (one call frame per completion)
+        if self._waker is not None:
+            self._waker.wake()
+        if self._notify is not None:
+            sig, self._notify = self._notify, None
+            sig.fire(self.sim, None)
+
+    def wake(self) -> None:
+        """Wake whoever is parked on this CQ: the waker, then the
+        :meth:`wait_nonempty` signal."""
+        if self._waker is not None:
+            self._waker.wake()
         if self._notify is not None:
             sig, self._notify = self._notify, None
             sig.fire(self.sim, None)
@@ -78,6 +102,10 @@ class CompletionQueue:
                 return self._notify
             self._notify = sig
         return sig
+
+    def set_waker(self, waker) -> None:
+        """Call ``waker.wake()`` on every :meth:`wake` from now on."""
+        self._waker = waker
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -152,9 +152,13 @@ class HCA:
     def _schedule_pump(self) -> None:
         if self._pump_scheduled or not self._ready:
             return
-        at = max(self.sim.now, self._send_busy)
+        if self._send_busy <= self.sim.now:
+            # Idle engine: take the WQE now rather than through a
+            # same-instant agenda hop (nothing can claim the engine first).
+            self._pump()
+            return
         self._pump_scheduled = True
-        self.sim.call_at(at, self._pump)
+        self.sim.call_at(self._send_busy, self._pump)
 
     def _pump(self) -> None:
         self._pump_scheduled = False

@@ -72,6 +72,43 @@ class MPIConfig:
     #: FIN/ECM/RESIZE still use send/recv; they are optimistic traffic)
     rdma_control_bufs: int = 8
 
+    #: the per-operation CPU costs, charged straight into the agenda
+    OVERHEAD_FIELDS = (
+        "call_overhead_ns",
+        "post_overhead_ns",
+        "poll_overhead_ns",
+        "header_proc_ns",
+        "rdma_poll_ns",
+    )
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Fail fast on timing/size fields the model cannot run with.
+
+        Called at construction and again when a cluster is built (fields
+        are plain attributes, so a config can be edited in between).
+        Raises :class:`ValueError` naming the offending field."""
+        for name in self.OVERHEAD_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(
+                    f"MPIConfig.{name} must be a non-negative int (ns), "
+                    f"got {value!r}"
+                )
+        rate = self.memcpy_bytes_per_ns
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not rate > 0:
+            raise ValueError(
+                f"MPIConfig.memcpy_bytes_per_ns must be > 0, got {rate!r}"
+            )
+        if self.vbuf_bytes <= self.header_bytes:
+            raise ValueError(
+                f"MPIConfig.vbuf_bytes ({self.vbuf_bytes}) must exceed "
+                f"header_bytes ({self.header_bytes}): a vbuf must hold a "
+                "header plus payload"
+            )
+
     def eager_max(self) -> int:
         """Largest payload that fits an eager vbuf."""
         return self.vbuf_bytes - self.header_bytes

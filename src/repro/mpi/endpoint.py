@@ -38,7 +38,7 @@ from repro.mpi.protocol import Header, MsgKind
 from repro.mpi.rendezvous import BounceRegion, RndvRecvOp, RndvSendOp, next_op_id
 from repro.mpi.request import Request, Status
 from repro.ft.failures import RankFailedError
-from repro.sim import AnyOf, Simulator, Timeout
+from repro.sim import Simulator, Timeout, Waitable
 from repro.sim.trace import Tracer
 
 
@@ -53,6 +53,93 @@ class TruncationError(MPIError):
 #: vbufs held back for control traffic (CTS/FIN/ECM) so progress-side
 #: emissions can never block on the pool (which would deadlock progress).
 CONTROL_RESERVE = 32
+
+#: resume value of a progress park that woke without charging a poll
+_RECHECK = "recheck"
+
+
+class _ProgressPark(Waitable):
+    """Where the progress engine sleeps when it has nothing to poll.
+
+    One per endpoint, reused by every wait (allocation-free, like
+    ``Endpoint._t_poll``; an endpoint runs one program process).  It is
+    the CQ's waker and the RDMA rings' too, so :meth:`wake` runs on every
+    completion push, ring deposit and out-of-band nudge through
+    ``CompletionQueue.wake``.  The first wake of a parked process decides
+    how it resumes:
+
+    * if the waiting condition already holds, or the rank has died, the
+      process resumes at once with ``_RECHECK`` and re-checks, exactly as
+      a plain signal wake-up would;
+    * otherwise the only thing the process would do next is charge a CQ
+      poll, so the wake-up *is* that poll: the resume goes through
+      ``Endpoint._t_poll`` (``poll_overhead_ns`` later, resuming with
+      ``None``) and lands straight after it — the verbs ``req_notify_cq``
+      → ``poll_cq`` round trip as one agenda entry instead of two.
+
+    The unfolded process would have read the waiting condition later in
+    the wake-up instant, not at the push.  So a further wake in that same
+    instant (the failure detector flushes a dead peer's QP, which pushes,
+    and only then fails the requests toward it) re-checks, and if the
+    condition now holds it resumes the process at once after all; the
+    folded resume already on the agenda is then skipped when it fires.
+    """
+
+    __slots__ = ("ep", "process", "request", "pred", "pending",
+                 "folded_at", "stale", "_resume")
+
+    def __init__(self, ep: "Endpoint"):
+        self.ep = ep
+        #: the parked process while armed
+        self.process = None
+        #: the waiting condition: ``request.done`` if a request is set,
+        #: else ``pred()``
+        self.request: Optional[Request] = None
+        self.pred: Optional[Callable[[], bool]] = None
+        #: the process whose folded resume is on the agenda
+        self.pending = None
+        self.folded_at = -1
+        #: folded resumes on the agenda whose process already resumed
+        self.stale = 0
+        # scheduled once per folded wake-up; prebound like Process._resume
+        self._resume = self._polled
+
+    def _block(self, sim: Simulator, process) -> None:
+        self.process = process
+
+    def _satisfied(self) -> bool:
+        req = self.request
+        return self.ep._halted or (req.done if req is not None else self.pred())
+
+    def wake(self) -> None:
+        process = self.process
+        ep = self.ep
+        if process is None:
+            # Not parked.  Only a same-instant re-wake of a folded resume
+            # can matter (see the class docstring).
+            process = self.pending
+            if (process is not None and self.folded_at == ep.sim.now
+                    and self._satisfied()):
+                self.pending = None
+                self.stale += 1
+                ep.sim.call_soon(process._resume, _RECHECK, None)
+            return
+        self.process = None
+        if self._satisfied():
+            ep.sim.call_soon(process._resume, _RECHECK, None)
+        else:
+            self.pending = process
+            self.folded_at = ep.sim.now
+            ep._t_poll._block(ep.sim, self)
+
+    def _polled(self, value, exc) -> None:
+        """The folded resume's agenda entry (``Timeout._block`` calls back
+        ``_resume(None, None)``)."""
+        if self.stale:
+            self.stale -= 1
+            return
+        process, self.pending = self.pending, None
+        process._resume(value, exc)
 
 
 class Endpoint:
@@ -106,8 +193,6 @@ class Endpoint:
         self._coll_seq: Dict[int, int] = {}  # context -> collective sequence
         #: on-demand connection setup hook (None = static full mesh)
         self._connector = connector
-        #: armed waiter for RDMA-ring arrivals (the spin-loop stand-in)
-        self._ring_notify = None
         self.finalized = False
         # --- fault injection (repro.faults): slow-consumer throttling ---
         #: while ``sim.now < _stall_until`` this rank neither re-posts vbufs
@@ -119,6 +204,8 @@ class Endpoint:
         # progress hot path yields these thousands of times per run)
         self._t_call = Timeout(config.call_overhead_ns)
         self._t_poll = Timeout(config.poll_overhead_ns)
+        self._park = _ProgressPark(self)
+        self.cq.set_waker(self._park)
         #: runtime invariant auditor (repro.check); None = disabled, and
         #: every hook site below is guarded so the disabled cost is one
         #: attribute load + None test.
@@ -270,10 +357,9 @@ class Endpoint:
                     if req.done:  # dest declared dead during the pool wait
                         return req
                     cost = self._emit(conn, header, "eager", req, control=False)
-                yield Timeout(cost)
             else:
                 self._enqueue_backlog(conn, PendingSend(header, req, self.sim.now))
-                yield Timeout(self._drain(conn))
+                cost = self._drain(conn)
         else:
             # Rendezvous path (large messages, and every "sync" send —
             # the CTS proves the receive is matched).  Small synchronous
@@ -324,17 +410,18 @@ class Endpoint:
                     return req
                 cost = self._emit(conn, header, "ctl", None, control=False)
                 op.rts_sent = True
-                yield Timeout(cost)
             else:
                 self._enqueue_backlog(conn, PendingSend(header, op, self.sim.now))
-                yield Timeout(self._drain(conn))
+                cost = self._drain(conn)
         # Opportunistic progress poke: every MPI call advances the engine
         # (as MPICH's ADI does) — without it, a rank that only isends would
         # never see CTSs or credit updates (user-level flow control "relies
         # on communication progress", paper §4.2).  The idle case of
-        # ``_poll_once`` is open-coded (same yield sequence) to skip a
-        # sub-generator per send.
-        yield self._t_poll
+        # ``_poll_once`` is open-coded to skip a sub-generator per send,
+        # and the send's CPU cost and the poke's poll run back to back with
+        # no state read between them, so one Timeout charges both (the
+        # fold rule, DESIGN §5.1).
+        yield Timeout(cost + self._t_poll.delay)
         if self.cq._entries or self._ring_dirty:
             yield from self._poll_busy()
         elif self._backlogged:
@@ -365,6 +452,10 @@ class Endpoint:
         yield self._t_call
         posted = PostedRecv(source, tag, context, capacity, req, buffer_id)
         unexpected = self.matching.post_recv(posted)
+        # What charges the progress poke's poll below: the poll alone, or
+        # — when the call ends in a CPU cost with no state read before the
+        # poll — that cost and the poll as one Timeout (as in isend).
+        poll = self._t_poll
         if unexpected is not None:
             h = unexpected.header
             if self._audit is not None:
@@ -372,23 +463,25 @@ class Endpoint:
             if h.kind is MsgKind.EAGER:
                 self._check_capacity(h, capacity)
                 yield Timeout(self.config.copy_ns(h.size))
-                self.bytes_received += h.size
                 self._complete_recv(req, h.src, h.tag, h.size, h.payload)
                 if not h.via_ring:
+                    # Ring messages were copied out of their slot, and
+                    # counted, at arrival.
+                    self.bytes_received += h.size
                     # The message's vbuf was pinned while it sat unexpected;
                     # copy-out releases it now (ring slots were already
                     # freed at arrival).
-                    yield Timeout(self._repost_after(self.connections[h.src], h.paid))
+                    cost = self._repost_after(self.connections[h.src], h.paid)
+                    poll = Timeout(cost + poll.delay)
             else:  # RNDV_RTS
                 self._check_capacity(h, capacity)
-                cost = self._rndv_recv_start(h, posted)
-                yield Timeout(cost)
+                poll = Timeout(self._rndv_recv_start(h, posted) + poll.delay)
         elif self._ft is not None and source != ANY_SOURCE:
             # nothing arrived yet: the peer's liveness now gates this
             # request, so the failure detector watches it
             self._ft.watch(self, req, source)
         # Open-coded idle _poll_once, as in isend.
-        yield self._t_poll
+        yield poll
         if self.cq._entries or self._ring_dirty:
             yield from self._poll_busy()
         elif self._backlogged:
@@ -441,11 +534,15 @@ class Endpoint:
         # are measurable.  Keep the yield sequence identical to the
         # generic loop — determinism depends on it.
         cq = self.cq
-        while not request.done:
-            if self._halted:
-                yield self._halt_signal  # never fires: this rank is dead
-            # Inline idle _poll_once (same yield sequence).
-            yield self._t_poll
+        park = self._park
+        park.request = request
+        polled = False  # woken by the park with the poll already charged
+        while polled or not request.done:
+            if not polled:
+                if self._halted:
+                    yield self._halt_signal  # never fires: this rank is dead
+                # Inline idle _poll_once (same yield sequence).
+                yield self._t_poll
             if cq._entries or self._ring_dirty:
                 yield from self._poll_busy()
             elif self._backlogged:
@@ -454,11 +551,9 @@ class Endpoint:
                     yield Timeout(cost)
             if request.done:
                 break
+            polled = False
             if not cq._entries and not self._ring_ready():
-                if self._ring_mode:
-                    yield AnyOf([cq.wait_nonempty(), self._ring_wait()])
-                else:
-                    yield cq.wait_nonempty()
+                polled = (yield park) is None
         self.wait_ns += sim.now - t0
         return request.status
 
@@ -601,18 +696,6 @@ class Endpoint:
     # ------------------------------------------------------------------
     # progress engine
     # ------------------------------------------------------------------
-    def _ring_signal_fire(self) -> None:
-        if self._ring_notify is not None:
-            sig, self._ring_notify = self._ring_notify, None
-            sig.fire(self.sim, None)
-
-    def _ring_wait(self):
-        from repro.sim import Signal
-
-        if self._ring_notify is None:
-            self._ring_notify = Signal(f"ring.{self.rank}")
-        return self._ring_notify
-
     def _ring_ready(self) -> bool:
         """Any RDMA-ring arrival that is next in its connection's sequence?"""
         if not self._ring_dirty:
@@ -625,19 +708,20 @@ class Endpoint:
         return False
 
     def _progress_until(self, pred: Callable[[], bool]) -> Generator:
-        from repro.sim import AnyOf
-
-        while not pred():
-            if self._halted:
-                yield self._halt_signal  # never fires: this rank is dead
-            yield from self._poll_once()
+        park = self._park
+        park.request, park.pred = None, pred
+        polled = False  # woken by the park with the poll already charged
+        while polled or not pred():
+            if not polled:
+                if self._halted:
+                    yield self._halt_signal  # never fires: this rank is dead
+                yield self._t_poll
+            yield from self._after_poll()
             if pred():
                 return
+            polled = False
             if not self.cq._entries and not self._ring_ready():
-                if self._ring_mode:
-                    yield AnyOf([self.cq.wait_nonempty(), self._ring_wait()])
-                else:
-                    yield self.cq.wait_nonempty()
+                polled = (yield park) is None
 
     def _poll_once(self) -> Generator:
         """Drain the CQ and the RDMA rings, handling each completion (and
@@ -647,6 +731,10 @@ class Endpoint:
         if self._halted:
             return  # dead rank: resumed mid-loop by a stale wakeup
         yield self._t_poll
+        yield from self._after_poll()
+
+    def _after_poll(self) -> Generator:
+        """:meth:`_poll_once` past its poll overhead."""
         # Idle fast path: nothing completed, no ring flagged dirty — the
         # common case for the opportunistic poke every MPI call performs.
         if not self.cq._entries and not self._ring_dirty:

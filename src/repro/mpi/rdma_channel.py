@@ -30,7 +30,6 @@ import heapq
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.ib.mr import MemoryRegion
-from repro.sim import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.endpoint import Endpoint
@@ -130,7 +129,6 @@ class RDMAChannel:
         #: arrived-but-unprocessed headers, ordered by sequence number (two
         #: ring generations can be in flight during a resize)
         self._arrived: List[Tuple[int, "Header"]] = []
-        self._notify: Optional[Signal] = None
         # observability
         self.messages = 0
         self.resizes = 0
@@ -163,7 +161,7 @@ class RDMAChannel:
         if aud is not None:
             aud.on_ring_deposit(self, header)
         self.endpoint._ring_dirty.add(self.peer)
-        self.endpoint._ring_signal_fire()
+        self.endpoint._park.wake()  # the ring's spin-loop stand-in
 
     def poll(self, expected_seq: int) -> Optional["Header"]:
         """Next in-sequence arrived header, if visible."""
@@ -174,17 +172,6 @@ class RDMAChannel:
     def poll_peek(self, expected_seq: int) -> bool:
         """Would :meth:`poll` return a header right now?"""
         return bool(self._arrived) and self._arrived[0][0] == expected_seq
-
-    def wait_signal(self) -> Signal:
-        """One-shot arrival notification (the spin-loop stand-in)."""
-        sig = Signal(f"rdmach.{self.endpoint.rank}<-{self.peer}")
-        if self._arrived:
-            sig.fire(self.endpoint.sim, None)
-        else:
-            if self._notify is not None:
-                return self._notify
-            self._notify = sig
-        return sig
 
     @property
     def has_arrivals(self) -> bool:

@@ -193,3 +193,35 @@ def test_trace_enabled_records_fabric_events():
     tracer = r.endpoints[0].tracer
     assert tracer.enabled
     assert tracer.records_of("fabric.tx")
+
+
+@pytest.mark.parametrize("ring", ["rdma-eager", "use_rdma_channel"])
+def test_bytes_balance_with_late_ring_receives(ring):
+    """A ring message that arrives before its receive is posted is counted
+    once — at arrival, where it leaves the slot — not again at the late
+    irecv's copy-out."""
+    sizes = [4, 64, 512, 1900] * 3
+
+    def prog(mpi):
+        if mpi.rank == 0:
+            reqs = []
+            for i, size in enumerate(sizes):
+                reqs.append((yield from mpi.isend(1, size=size, tag=i)))
+            yield from mpi.waitall(reqs)
+        else:
+            yield from mpi.compute(200_000)  # everything lands unexpected
+            reqs = []
+            for i in range(len(sizes)):
+                reqs.append((yield from mpi.irecv(source=0, capacity=2048, tag=i)))
+            yield from mpi.waitall(reqs)
+
+    cfg = TestbedConfig(nodes=2)
+    scheme = "static"
+    if ring == "rdma-eager":
+        scheme = "rdma-eager"
+    else:
+        cfg.mpi.use_rdma_channel = True
+    r = run_job(prog, 2, scheme, prepost=16, config=cfg, finalize=False)
+    assert r.endpoints[1].matching.total_unexpected >= len(sizes) // 2
+    assert sum(ep.bytes_sent for ep in r.endpoints) == sum(sizes)
+    assert sum(ep.bytes_received for ep in r.endpoints) == sum(sizes)
