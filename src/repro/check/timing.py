@@ -42,21 +42,10 @@ from collections import deque
 from typing import Any, Dict, List, Tuple
 
 from repro.ib.fabric import Fabric
+from repro.ib.fattree import FatTreeFabric
 from repro.ib.hca import HCA
 from repro.mpi.endpoint import Endpoint
 from repro.mpi.request import Request
-
-
-def _fabric_classes() -> List[type]:
-    """Every fabric class with its own ``transmit`` (the crossbar and the
-    fat-tree each carry one)."""
-    out, todo = [], [Fabric]
-    while todo:
-        cls = todo.pop()
-        if "transmit" in cls.__dict__:
-            out.append(cls)
-        todo.extend(cls.__subclasses__())
-    return out
 
 
 class TimingDigest:
@@ -134,7 +123,7 @@ class TimingDigest:
         self._patch(Endpoint, "isend", isend)
         self._patch(Endpoint, "irecv", irecv)
         self._patch(Request, "complete", complete)
-        for cls in _fabric_classes():
+        for cls in (Fabric, FatTreeFabric):  # each has its own transmit
             self._patch(cls, "transmit", transmit)
         self._patch(HCA, "_deliver", deliver)
 
