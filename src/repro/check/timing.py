@@ -15,13 +15,10 @@ absorbs the shift.  :class:`TimingDigest` records, while installed:
 and hashes both streams together with the job's fc statistics and final
 clock into one SHA-256 hex string.
 
-Agenda bookkeeping is deliberately outside the digest: how many events
-it took, and the order in which the kernel happened to run events of
-*different* ranks (adapters) at the *same* instant — nothing simulated
-can observe that order, and any consequence it has, such as which of two
-senders wins a link, shows up as a time.  So each stream is hashed in
-``(time, rank)`` order (``(inject_ns, src)`` for the wire), which keeps
-the completion and injection order within a rank (adapter) exactly.
+Both streams are hashed in the order they were recorded, so the order
+of same-instant completions and injections — across ranks too — is part
+of the digest.  How many agenda events the run took is not: that is a
+cost, tracked separately (``events_executed``).
 
 Recording works by wrapping a handful of class methods for the duration
 of a ``with`` block, so a run without it pays nothing.  Install it before
@@ -149,11 +146,10 @@ class TimingDigest:
         return out
 
     def record(self, result) -> Dict[str, Any]:
-        """Everything the digest covers, as plain JSON-able data, in the
-        digest's ``(time, rank)`` order (a stable sort)."""
+        """Everything the digest covers, as plain JSON-able data."""
         return {
-            "requests": sorted(self.requests(), key=lambda r: (r[5], r[0])),
-            "wire": sorted(self.wire, key=lambda w: (w[3], w[0])),
+            "requests": self.requests(),
+            "wire": self.wire,
             "fc": dataclasses.asdict(result.fc),
             "now": result.endpoints[0].sim.now,
         }

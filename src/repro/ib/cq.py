@@ -4,18 +4,17 @@ A CQ collects :class:`~repro.ib.wr.WC` entries from any number of QPs
 (the paper's MPI associates *all* of a process's send and receive queues
 with a single CQ, and so does ``repro.mpi``).  Consumers poll; a blocked
 consumer parks on the CQ — the simulation analogue of the verbs
-completion-channel / ``ibv_req_notify_cq`` pattern — in one of two ways:
+completion-channel / ``ibv_req_notify_cq`` pattern — through its *waker*:
+any object with a ``wake()`` method, stored in :attr:`CompletionQueue.waker`
+and called on every :meth:`wake`.  The waker decides itself whether anyone
+is parked.  The MPI progress engine installs one so a wake-up can be
+charged together with its poll (one agenda entry per ``req_notify`` →
+``poll_cq`` round trip instead of two); :meth:`wait_nonempty` installs a
+one-shot waker that fires a :class:`~repro.sim.waitables.Signal`.
 
-* :meth:`wait_nonempty` hands out a one-shot
-  :class:`~repro.sim.waitables.Signal` re-armed on each wait;
-* a *waker* — any object with a ``wake()`` method, set once with
-  :meth:`set_waker` — is called on every :meth:`wake` and decides itself
-  whether anyone is parked.  The MPI progress engine installs one so a
-  wake-up can be charged together with its poll (one agenda entry per
-  ``req_notify`` → ``poll_cq`` round trip instead of two).
-
-Every wake-up goes through :meth:`wake` — a push, or an out-of-band
-nudge such as the failure detector completing a request with an error.
+Every wake-up goes through :meth:`wake` — a push, an RDMA-ring deposit,
+or an out-of-band nudge such as the failure detector completing a
+request with an error.
 """
 
 from __future__ import annotations
@@ -31,6 +30,20 @@ class CQOverflow(RuntimeError):
     """The CQ filled up — a fatal programming error in the consumer."""
 
 
+class _NonEmpty:
+    """The one-shot waker behind :meth:`CompletionQueue.wait_nonempty`."""
+
+    __slots__ = ("cq", "signal")
+
+    def __init__(self, cq: "CompletionQueue", signal: Signal):
+        self.cq = cq
+        self.signal = signal
+
+    def wake(self) -> None:
+        self.cq.waker = None
+        self.signal.fire(self.cq.sim, None)
+
+
 class CompletionQueue:
     """A FIFO of work completions with blocking-wait support."""
 
@@ -39,9 +52,8 @@ class CompletionQueue:
         self.depth = depth
         self.name = name
         self._entries: Deque[WC] = deque()
-        self._notify: Optional[Signal] = None
-        #: the consumer's waker (see :meth:`set_waker`)
-        self._waker = None
+        #: the consumer's waker: ``waker.wake()`` runs on every :meth:`wake`
+        self.waker = None
         #: total completions ever pushed (observability)
         self.total_completions = 0
 
@@ -53,21 +65,12 @@ class CompletionQueue:
             raise CQOverflow(f"{self.name}: more than {self.depth} outstanding CQEs")
         self._entries.append(wc)
         self.total_completions += 1
-        # open-coded wake() (one call frame per completion)
-        if self._waker is not None:
-            self._waker.wake()
-        if self._notify is not None:
-            sig, self._notify = self._notify, None
-            sig.fire(self.sim, None)
+        self.wake()
 
     def wake(self) -> None:
-        """Wake whoever is parked on this CQ: the waker, then the
-        :meth:`wait_nonempty` signal."""
-        if self._waker is not None:
-            self._waker.wake()
-        if self._notify is not None:
-            sig, self._notify = self._notify, None
-            sig.fire(self.sim, None)
+        """Wake whoever is parked on this CQ (its :attr:`waker`)."""
+        if self.waker is not None:
+            self.waker.wake()
 
     # ------------------------------------------------------------------
     # consumer side
@@ -92,20 +95,18 @@ class CompletionQueue:
                     handle(wc)
                 if not done:
                     yield cq.wait_nonempty()
+
+        It takes the :attr:`waker` slot until the signal fires, so use it
+        only on a CQ with no standing waker (an MPI endpoint's CQ has one).
         """
+        if isinstance(self.waker, _NonEmpty):
+            return self.waker.signal  # coalesce onto the armed signal
         sig = Signal(f"{self.name}.notify")
         if self._entries:
             sig.fire(self.sim, None)
         else:
-            if self._notify is not None:
-                # Coalesce: chain onto the existing armed signal.
-                return self._notify
-            self._notify = sig
+            self.waker = _NonEmpty(self, sig)
         return sig
-
-    def set_waker(self, waker) -> None:
-        """Call ``waker.wake()`` on every :meth:`wake` from now on."""
-        self._waker = waker
 
     def __len__(self) -> int:
         return len(self._entries)

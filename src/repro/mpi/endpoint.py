@@ -63,10 +63,9 @@ class _ProgressPark(Waitable):
 
     One per endpoint, reused by every wait (allocation-free, like
     ``Endpoint._t_poll``; an endpoint runs one program process).  It is
-    the CQ's waker and the RDMA rings' too, so :meth:`wake` runs on every
-    completion push, ring deposit and out-of-band nudge through
-    ``CompletionQueue.wake``.  The first wake of a parked process decides
-    how it resumes:
+    the CQ's waker, so :meth:`wake` runs on every completion push, RDMA-
+    ring deposit and out-of-band nudge through ``CompletionQueue.wake``.
+    The first wake of a parked process decides how it resumes:
 
     * if the waiting condition already holds, or the rank has died, the
       process resumes at once with ``_RECHECK`` and re-checks, exactly as
@@ -205,7 +204,7 @@ class Endpoint:
         self._t_call = Timeout(config.call_overhead_ns)
         self._t_poll = Timeout(config.poll_overhead_ns)
         self._park = _ProgressPark(self)
-        self.cq.set_waker(self._park)
+        self.cq.waker = self._park
         #: runtime invariant auditor (repro.check); None = disabled, and
         #: every hook site below is guarded so the disabled cost is one
         #: attribute load + None test.

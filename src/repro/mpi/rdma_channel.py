@@ -161,7 +161,7 @@ class RDMAChannel:
         if aud is not None:
             aud.on_ring_deposit(self, header)
         self.endpoint._ring_dirty.add(self.peer)
-        self.endpoint._park.wake()  # the ring's spin-loop stand-in
+        self.endpoint.cq.wake()  # the ring's spin-loop stand-in
 
     def poll(self, expected_seq: int) -> Optional["Header"]:
         """Next in-sequence arrived header, if visible."""

@@ -12,11 +12,14 @@ Three canonical workloads exercise the kernel's distinct hot paths:
   fan-out.
 
 Every workload is deterministic: ``events_executed`` and the final
-simulated clock must be bit-identical run to run and release to release
-(see ``tests/test_determinism_replay.py``).  ``compare()`` therefore treats
-an event-count drift as a hard failure, and a wall-clock regression beyond
-the tolerance as a soft one — CI runs both via ``python -m repro perf
---check BENCH_perf.json``.
+simulated clock are bit-identical run to run.  The final clock is part of
+what a run means; ``events_executed`` is a pinned *cost* — an
+optimisation may lower it while every timing digest stays put (see
+``tests/test_determinism_replay.py``), and then regenerates the baseline.
+``compare()`` treats drift in either as a hard failure, so every change to
+them is deliberate, and a wall-clock regression beyond the tolerance as a
+soft one — CI runs both via ``python -m repro perf --check
+BENCH_perf.json``.
 
 The report lands in ``BENCH_perf.json``:
 
@@ -184,8 +187,9 @@ def compare(
 ) -> List[str]:
     """Return a list of regression messages (empty = pass).
 
-    * determinism: ``events_executed`` / ``sim_now_ns`` must match the
-      baseline exactly for every workload present in both reports;
+    * pinned figures: ``sim_now_ns`` (the outcome) and
+      ``events_executed`` (the cost) must match the baseline exactly for
+      every workload present in both reports;
     * throughput: ``events_per_sec`` may not drop more than ``tolerance``
       below the baseline.
     """
@@ -195,11 +199,14 @@ def compare(
         if cur is None:
             problems.append(f"{name}: missing from current run")
             continue
-        for key in ("events_executed", "sim_now_ns"):
+        for key, what in (("events_executed", "event-cost change"),
+                          ("sim_now_ns", "simulated-outcome change")):
             if cur[key] != base[key]:
                 problems.append(
                     f"{name}: {key} drifted (baseline {base[key]}, "
-                    f"got {cur[key]}) — determinism regression"
+                    f"got {cur[key]}) — {what}; by determinism the "
+                    f"drift is real, so regenerate the baseline only if "
+                    f"the change is deliberate"
                 )
         floor = base["events_per_sec"] * (1.0 - tolerance)
         if cur["events_per_sec"] < floor:
