@@ -8,7 +8,8 @@ absorbs the shift.  :class:`TimingDigest` records, while installed:
   completion_ns)``, in completion order — sends are described by their
   ``isend`` arguments, receives by the status they completed with;
 * every wire message handed to the fabric as ``(src, dst, bytes,
-  inject_ns, arrival_ns)`` in injection order, ``arrival_ns`` being the
+  inject_ns, arrival_ns)`` in injection order (the order the fabric
+  resolves transmits in, DESIGN §5.1), ``arrival_ns`` being the
   instant the destination HCA saw its last byte (``-1`` if it never
   arrived: dropped, or to a dead adapter's absorbed silence);
 
@@ -39,7 +40,6 @@ from collections import deque
 from typing import Any, Dict, List, Tuple
 
 from repro.ib.fabric import Fabric
-from repro.ib.fattree import FatTreeFabric
 from repro.ib.hca import HCA
 from repro.mpi.endpoint import Endpoint
 from repro.mpi.request import Request
@@ -97,8 +97,8 @@ class TimingDigest:
             return complete
 
         def transmit(orig):
-            def transmit(fabric, src_lid, dst_lid, payload_bytes, message):
-                row = [src_lid, dst_lid, payload_bytes, fabric.sim.now, -1]
+            def transmit(fabric, src_lid, dst_lid, payload_bytes, message, at):
+                row = [src_lid, dst_lid, payload_bytes, at, -1]
                 wire.append(row)
                 slot = in_flight.get(id(message))
                 if slot is None:
@@ -106,7 +106,7 @@ class TimingDigest:
                     # while any of its injections is still in flight
                     slot = in_flight[id(message)] = (message, deque())
                 slot[1].append(row)
-                return orig(fabric, src_lid, dst_lid, payload_bytes, message)
+                return orig(fabric, src_lid, dst_lid, payload_bytes, message, at)
             return transmit
 
         def deliver(orig):
@@ -120,8 +120,7 @@ class TimingDigest:
         self._patch(Endpoint, "isend", isend)
         self._patch(Endpoint, "irecv", irecv)
         self._patch(Request, "complete", complete)
-        for cls in (Fabric, FatTreeFabric):  # each has its own transmit
-            self._patch(cls, "transmit", transmit)
+        self._patch(Fabric, "transmit", transmit)  # FatTreeFabric inherits it
         self._patch(HCA, "_deliver", deliver)
 
     def uninstall(self) -> None:

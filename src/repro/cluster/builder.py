@@ -28,6 +28,7 @@ class Cluster:
     def __init__(self, config: Optional[TestbedConfig] = None, trace: bool = False):
         self.config = config or TestbedConfig()
         # fields may have been edited since construction: re-check them
+        self.config.ib.validate()
         self.config.mpi.validate()
         self.sim = Simulator()
         self.tracer = Tracer(enabled=trace)
@@ -49,7 +50,7 @@ class Cluster:
                 self.sim, self.fabric, self.config.ib.congestion, self.tracer
             )
         self.hcas: List[HCA] = [
-            HCA(self.sim, self.fabric, lid, self.config.ib, self.tracer)
+            HCA(self.sim, self.fabric, lid, self.tracer)
             for lid in range(self.config.nodes)
         ]
         self.endpoints: List[Endpoint] = []

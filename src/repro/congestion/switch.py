@@ -43,7 +43,7 @@ from repro.sim import Simulator
 from repro.sim.trace import Tracer
 
 #: ("hup", lid) | ("down", lid) host access ports, plus one key per
-#: interior fat-tree link (see repro.ib.fattree.LinkKey): ("up", leaf,
+#: interior fat-tree link (see Fabric.path_links): ("up", leaf,
 #: spine) | ("sdown", spine, leaf) | ("sup", spine, core) | ("cdown",
 #: core, spine)
 PortKey = Tuple
@@ -262,8 +262,6 @@ class CongestionState:
         ib = fabric.config
         self.hop_ns = ib.link_prop_ns + ib.switch_delay_ns
         self.link_prop_ns = ib.link_prop_ns
-        # fat-tree detection without importing the subclass (no cycle)
-        self.fattree = hasattr(fabric, "leaf_of")
         self.ports: Dict[PortKey, PortQueue] = {}
         self._paths: Dict[tuple, tuple] = {}
         self.flows: Dict[tuple, _Flow] = {}
@@ -281,12 +279,11 @@ class CongestionState:
 
     def _build_path(self, src: int, dst: int) -> tuple:
         hops = [self._port(("hup", src), finite=False)]
-        if self.fattree:
-            # one finite egress queue per interior link the fabric's
-            # d-mod-k route traverses (leaf-up, spine-up, core-down,
-            # spine-down) — however many levels the tree has
-            for link in self.fabric.path_links(src, dst):
-                hops.append(self._port(link, finite=True))
+        # one finite egress queue per interior link the fabric's route
+        # traverses (leaf-up, spine-up, core-down, spine-down on a fat
+        # tree — however many levels it has; none on the crossbar)
+        for link in self.fabric.path_links(src, dst):
+            hops.append(self._port(link, finite=True))
         hops.append(self._port(("down", dst), finite=True))
         return tuple(hops)
 

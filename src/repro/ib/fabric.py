@@ -1,12 +1,15 @@
-"""The wire: host links, a crossbar switch, and contention.
+"""The wire: host links, switches, and contention.
 
-Topology matches the paper's testbed: every node's HCA connects by one 4X
-link to a single InfiniScale-style crossbar (8 ports there; any port count
-here).  The model is *virtual cut-through* at message granularity:
+Topology matches the paper's testbed by default: every node's HCA connects
+by one 4X link to a single InfiniScale-style crossbar (8 ports there; any
+port count here).  :class:`~repro.ib.fattree.FatTreeFabric` scales past one
+switch by naming the *interior* links a route crosses (:meth:`path_links`);
+the crossbar is the tree with none.  Both run the one :meth:`Fabric.transmit`.
+The model is *virtual cut-through* at message granularity:
 
 * each unidirectional link keeps a ``busy_until`` time; a message reserves
   the link FIFO-fashion for its serialisation time ``wire_bytes / rate``;
-* the switch adds a fixed pipeline delay per traversal;
+* every switch adds a fixed pipeline delay per traversal;
 * the message's last byte reaches the destination HCA at
   ``max(output-port free, head arrival) + serialisation``.
 
@@ -21,9 +24,9 @@ loopback path: no switch hop, bandwidth limited by the host bus.
 from __future__ import annotations
 
 from bisect import insort
-from collections import deque
+from collections import defaultdict, deque
 from heapq import heappush
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.ib.types import IBConfig
 from repro.sim import Simulator
@@ -49,7 +52,7 @@ class _DeliveryTrain:
     train.  Messages whose arrival would break the FIFO's monotonicity
     (a fault window adding latency, loopback traffic interleaved with
     switched traffic) split the burst and take a direct agenda entry
-    instead (see :meth:`Fabric.transmit`).
+    instead (see :meth:`Fabric._enqueue_data`).
     """
 
     __slots__ = ("sim", "deliver", "q", "fire")
@@ -115,28 +118,35 @@ class _ControlTrain:
 
 
 class Fabric:
-    """Single-switch IBA subnet with per-link FIFO contention."""
+    """Single-switch IBA subnet with per-link FIFO contention — and, through
+    :meth:`path_links`, the shared transmit of every topology."""
 
     def __init__(self, sim: Simulator, config: IBConfig, tracer: Optional[Tracer] = None):
         self.sim = sim
         self.config = config
         self.tracer = tracer or Tracer(enabled=False)
-        # busy_until per unidirectional link, keyed by LID
+        # busy_until per unidirectional host link, keyed by LID
         self._up_busy: Dict[int, int] = {}
         self._down_busy: Dict[int, int] = {}
+        #: busy_until per interior link (empty on the crossbar)
+        self._link_busy: Dict[tuple, int] = defaultdict(int)
+        # data messages per link: host links per LID, interior per key
+        self._hup_msgs: Dict[int, int] = {}
+        self._down_msgs: Dict[int, int] = {}
+        self._link_msgs: Dict[tuple, int] = defaultdict(int)
         self._lids: Dict[int, Any] = {}  # lid -> HCA (deliver target)
-        self._deliver_cb: Dict[int, Callable] = {}  # lid -> HCA._deliver, prebound
         # Per-destination burst trains: one armed agenda entry per train
         # instead of one per in-flight message (see _DeliveryTrain).
         self._trains: Dict[int, _DeliveryTrain] = {}
         self._ctrains: Dict[int, _ControlTrain] = {}
-        # Per-size timing caches.  A fabric is built per job from a frozen
-        # view of the config (nothing mutates IBConfig once traffic flows),
-        # and real workloads reuse a handful of message sizes thousands of
-        # times, so (wire bytes, serialisation ns) become one dict hit.
+        # Timing caches.  A fabric is built per job from a frozen view of
+        # the config (nothing mutates IBConfig once traffic flows), routes
+        # are static, and real workloads reuse a handful of message sizes
+        # thousands of times, so each lookup below is one dict hit.
         self._ser_cache: Dict[int, tuple] = {}  # payload -> (wire, ser)
         self._lo_cache: Dict[int, int] = {}  # payload -> loopback ser
-        self._ctrl_remote_ns: Optional[int] = None
+        self._paths: Dict[Tuple[int, int], tuple] = {}  # (src, dst) -> links
+        self._ctrl_ns: Dict[Tuple[int, int], int] = {}  # (src, dst) -> ns
         #: Optional :class:`repro.faults.injector.FabricFaultState`.  Left
         #: ``None`` on healthy runs so the hot path pays one identity check.
         self.fault = None
@@ -160,11 +170,12 @@ class Fabric:
         if lid in self._lids:
             raise FabricError(f"LID {lid} already attached")
         self._lids[lid] = hca
-        self._deliver_cb[lid] = hca._deliver
         self._trains[lid] = _DeliveryTrain(self.sim, hca._deliver)
         self._ctrains[lid] = _ControlTrain(self.sim)
         self._up_busy[lid] = 0
         self._down_busy[lid] = 0
+        self._hup_msgs[lid] = 0
+        self._down_msgs[lid] = 0
 
     def hca_at(self, lid: int) -> Any:
         try:
@@ -172,42 +183,49 @@ class Fabric:
         except KeyError:
             raise FabricError(f"no HCA at LID {lid}") from None
 
+    def path_links(self, src_lid: int, dst_lid: int) -> tuple:
+        """The interior links a ``src→dst`` data message traverses, as
+        stable keys in traversal order (memoized: routes are static).
+        Host links are not included; they are per-endpoint, keyed by LID
+        alone.  Empty for loopback traffic — and always on the crossbar,
+        where both host links meet at the one switch."""
+        key = (src_lid, dst_lid)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = self._build_links(src_lid, dst_lid)
+        return path
+
+    def _build_links(self, src_lid: int, dst_lid: int) -> tuple:
+        return ()
+
+    @property
+    def link_msgs(self) -> Dict[tuple, int]:
+        """Data messages per traversed link: ``("hup", lid)`` host→switch,
+        ``("down", lid)`` switch→host, and the interior keys of
+        :meth:`path_links`.  Loopback traffic crosses no link; congested
+        traffic is counted by :mod:`repro.congestion`'s port queues."""
+        msgs = {("hup", lid): n for lid, n in self._hup_msgs.items() if n}
+        msgs.update((("down", lid), n) for lid, n in self._down_msgs.items() if n)
+        msgs.update(self._link_msgs)
+        return msgs
+
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------
-    def _schedule_delivery(self, at: int, callback: Callable, arg: Any) -> None:
-        """``sim.call_at(at, callback, arg)`` open-coded against the kernel
-        internals — every message and every control packet passes through
-        here, and the call frame + ``*args`` packing were measurable.
-        ``at`` is already integral and ``>= now`` by construction."""
-        sim = self.sim
-        seq = sim._seq = sim._seq + 1
-        if at == sim.now:
-            sim._now_q.append((seq, callback, (arg,)))
-            return
-        idx = at >> _SHIFT
-        if idx <= sim._cur:
-            insort(sim._active, (at, seq, callback, (arg,)), sim._head)
-            sim._count += 1
-        elif idx < sim._limit:
-            sim._buckets[idx & _MASK].append((at, seq, callback, (arg,)))
-            sim._count += 1
-        else:
-            heappush(sim._over, (at, seq, callback, (arg,)))
-
     def _enqueue_data(self, dst_lid: int, arrival: int, message: Any) -> None:
         """Hand a data message to ``dst_lid``'s delivery train (or split
         the burst with a direct agenda entry when ``arrival`` breaks the
         train's FIFO monotonicity).  The message's ``(arrival, seq)`` key
-        is fixed here, at transmit time, whichever path it takes."""
+        is fixed here, when the transmit is resolved, whichever path it
+        takes."""
         sim = self.sim
         seq = sim._seq = sim._seq + 1
         train = self._trains[dst_lid]
         q = train.q
+        if q and arrival >= q[-1][0]:
+            q.append((arrival, seq, message))
+            return
         if q:
-            if arrival >= q[-1][0]:
-                q.append((arrival, seq, message))
-                return
             # burst split: out-of-order arrival goes straight to the agenda
             entry = (arrival, seq, train.deliver, (message,))
         else:
@@ -223,27 +241,36 @@ class Fabric:
         else:
             heappush(sim._over, entry)
 
-    def transmit(self, src_lid: int, dst_lid: int, payload_bytes: int, message: Any) -> int:
-        """Inject a message; returns (and schedules delivery at) the arrival
-        time of its last byte at the destination HCA.
+    def transmit(
+        self, src_lid: int, dst_lid: int, payload_bytes: int, message: Any, at: int
+    ) -> int:
+        """Inject a message onto the wire at time ``at`` (``>= now``);
+        returns (and schedules delivery at) the arrival time of its last
+        byte at the destination HCA.
 
-        Must be called from within a simulation event at the moment the
-        source HCA finishes staging the message (DMA complete).
+        The source HCA calls this when it takes the WQE, ``at`` being the
+        instant its doorbell, WQE fetch and DMA start-up end.  Only
+        transmits read or write the link horizons, and every adapter
+        resolves its injections the same fixed time early, so they resolve
+        in the order they inject (DESIGN §5.1).  Fault windows and
+        congestion queues change over time, so while either is armed the
+        HCA defers the call to ``at`` itself.
         """
         cfg = self.config
         if dst_lid not in self._lids:
             raise FabricError(f"no HCA at LID {dst_lid}")
-        now = self.sim.now
         self.messages_sent += 1
-        self.payload_bytes += max(0, payload_bytes)
+        if payload_bytes > 0:
+            self.payload_bytes += payload_bytes
 
         if src_lid == dst_lid:
             # HCA-internal loopback: no switch, host-bus limited.
-            ser = self._lo_cache.get(payload_bytes)
-            if ser is None:
-                ser = transfer_ns(cfg.wire_bytes(payload_bytes), cfg.pci_bytes_per_ns)
-                self._lo_cache[payload_bytes] = ser
-            arrival = now + cfg.loopback_ns + ser
+            try:
+                ser = self._lo_cache[payload_bytes]
+            except KeyError:
+                ser = self._lo_cache[payload_bytes] = transfer_ns(
+                    cfg.wire_bytes(payload_bytes), cfg.pci_bytes_per_ns)
+            arrival = at + cfg.loopback_ns + ser
             self._enqueue_data(dst_lid, arrival, message)
             return arrival
 
@@ -252,17 +279,17 @@ class Fabric:
         if fault is not None:
             verdict = fault.on_data(src_lid, dst_lid, payload_bytes)
             if verdict is None:
-                return now  # lost on the wire: never reaches the far HCA
+                return at  # lost on the wire: never reaches the far HCA
             extra, scale = verdict
         else:
             scale = 0
 
-        cached = self._ser_cache.get(payload_bytes)
-        if cached is None:
+        try:
+            wire, ser = self._ser_cache[payload_bytes]
+        except KeyError:
             wire = cfg.wire_bytes(payload_bytes)
             ser = transfer_ns(wire, cfg.effective_bytes_per_ns())
-            cached = self._ser_cache[payload_bytes] = (wire, ser)
-        wire, ser = cached
+            self._ser_cache[payload_bytes] = (wire, ser)
         self.wire_bytes += wire
         if scale:
             ser = max(1, int(ser * scale))  # degraded-link serialisation
@@ -273,62 +300,60 @@ class Fabric:
             # here (store-and-forward, pause frames, ECN).  Delivery comes
             # back through _enqueue_data when the last port drains.
             cong.inject(src_lid, dst_lid, wire, ser, message, extra)
-            self.tracer.record(now, "fabric.tx", src_lid, dst_lid,
+            self.tracer.record(at, "fabric.tx", src_lid, dst_lid,
                                payload_bytes, -1)
-            return now
+            return at
+
+        try:
+            links = self._paths[src_lid, dst_lid]
+        except KeyError:
+            links = self.path_links(src_lid, dst_lid)
+        hop_ns = cfg.link_prop_ns + cfg.switch_delay_ns
 
         # host -> switch link (FIFO)
-        start_up = max(now, self._up_busy[src_lid])
-        self._up_busy[src_lid] = start_up + ser
-        head_at_output = start_up + cfg.link_prop_ns + cfg.switch_delay_ns
+        self._hup_msgs[src_lid] += 1
+        head = self._up_busy[src_lid]
+        if head < at:
+            head = at
+        self._up_busy[src_lid] = head + ser
+        head += hop_ns
+
+        # interior links, switch to switch (FIFO, cut-through)
+        busy = self._link_busy
+        link_msgs = self._link_msgs
+        for link in links:
+            t = busy[link]
+            if t < head:
+                t = head
+            busy[link] = t + ser
+            link_msgs[link] += 1
+            head = t + hop_ns
 
         # switch -> host link (FIFO, cut-through from head arrival)
-        start_down = max(head_at_output, self._down_busy[dst_lid])
+        self._down_msgs[dst_lid] += 1
+        start_down = self._down_busy[dst_lid]
+        if start_down < head:
+            start_down = head
         self._down_busy[dst_lid] = start_down + ser
 
         arrival = start_down + ser + cfg.link_prop_ns + extra
-        # Open-coded _enqueue_data (this is the per-message hot path).
-        # Switched arrivals to one LID are monotone by construction —
-        # _down_busy[dst] is FIFO — so the common case is a plain append
-        # onto the armed train; only fault-window ``extra`` latency or a
-        # loopback/switched mix ever splits the burst.
-        sim = self.sim
-        seq = sim._seq = sim._seq + 1
-        train = self._trains[dst_lid]
-        q = train.q
-        if q and arrival >= q[-1][0]:
-            q.append((arrival, seq, message))
-        else:
-            if q:
-                entry = (arrival, seq, train.deliver, (message,))
-            else:
-                q.append((arrival, seq, message))
-                entry = (arrival, seq, train.fire, ())
-            idx = arrival >> _SHIFT
-            if idx <= sim._cur:
-                insort(sim._active, entry, sim._head)
-                sim._count += 1
-            elif idx < sim._limit:
-                sim._buckets[idx & _MASK].append(entry)
-                sim._count += 1
-            else:
-                heappush(sim._over, entry)
-        self.tracer.record(now, "fabric.tx", src_lid, dst_lid, payload_bytes, arrival)
+        self._enqueue_data(dst_lid, arrival, message)
+        if self.tracer.enabled:
+            self.tracer.record(at, "fabric.tx", src_lid, dst_lid, payload_bytes, arrival)
         return arrival
 
     # ------------------------------------------------------------------
     # control path (ACK / NAK / credit updates)
     # ------------------------------------------------------------------
     def control_path_ns(self, src_lid: int, dst_lid: int) -> int:
-        """Fixed latency of a small control packet from src to dst."""
+        """Fixed latency of a small control packet from src to dst: one
+        switch per interior link plus one, one more link than switches."""
         cfg = self.config
         if src_lid == dst_lid:
             return cfg.loopback_ns
-        ns = self._ctrl_remote_ns
-        if ns is None:
-            ser = transfer_ns(cfg.ack_bytes, cfg.link_rate.bytes_per_ns)
-            ns = self._ctrl_remote_ns = 2 * cfg.link_prop_ns + cfg.switch_delay_ns + ser
-        return ns
+        switches = 1 + len(self.path_links(src_lid, dst_lid))
+        return ((switches + 1) * cfg.link_prop_ns + switches * cfg.switch_delay_ns
+                + transfer_ns(cfg.ack_bytes, cfg.link_rate.bytes_per_ns))
 
     def send_control(
         self, src_lid: int, dst_lid: int, callback: Callable, *args: Any
@@ -342,7 +367,12 @@ class Fabric:
             extra = fault.on_control(src_lid, dst_lid)
             if extra is None:
                 return sim.now  # link down: ACK/NAK/credit update lost
-        arrival = sim.now + self.control_path_ns(src_lid, dst_lid) + extra
+        try:
+            path_ns = self._ctrl_ns[src_lid, dst_lid]
+        except KeyError:
+            path_ns = self._ctrl_ns[src_lid, dst_lid] = self.control_path_ns(
+                src_lid, dst_lid)
+        arrival = sim.now + path_ns + extra
         # Per-ACK/credit-update hot path: burst-batched per destination.
         # On a single crossbar every remote pair shares one control
         # latency, so arrivals per LID are monotone and the train almost
@@ -372,13 +402,6 @@ class Fabric:
         else:
             heappush(sim._over, entry)
         return arrival
-
-    def idle(self) -> bool:
-        """True when no link reservation extends past the current time."""
-        now = self.sim.now
-        return all(b <= now for b in self._up_busy.values()) and all(
-            b <= now for b in self._down_busy.values()
-        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Fabric lids={sorted(self._lids)} msgs={self.messages_sent}>"

@@ -20,11 +20,13 @@ the destination pod on the way down — the same index, so the route is
 symmetric about the core) and the core is ``dst_lid % cores``.  All
 choices depend only on the destination, so every flow stays ordered.
 
-Every traversed link carries FIFO busy-until contention; switch hops add
-pipeline latency.  :meth:`path_links` enumerates the interior links of a
-path as stable keys — the congestion subsystem keys its egress-port
-queues on them, and ``link_msgs`` counts per-link data messages for hop
-accounting (``tests/test_fattree_property.py``).
+This class is topology arithmetic only: :meth:`path_links` enumerates the
+interior links of a route as stable keys, and the one
+:meth:`~repro.ib.fabric.Fabric.transmit` every topology shares charges
+FIFO busy-until contention and a switch hop on each of them.  The
+congestion subsystem keys its egress-port queues on the same keys, and
+``link_msgs`` counts per-link data messages for hop accounting
+(``tests/test_fattree_property.py``).
 
 This keeps every transport/MPI layer byte-for-byte identical — only path
 latency and contention change — so flow-control experiments can be re-run
@@ -34,20 +36,12 @@ on big simulated clusters unchanged (see
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional
 
 from repro.ib.fabric import Fabric, FabricError
 from repro.ib.types import IBConfig
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
-from repro.sim.units import transfer_ns
-
-#: Interior-link keys (see :meth:`FatTreeFabric.path_links`):
-#: ``("up", leaf, spine)`` leaf→spine, ``("sdown", spine, leaf)``
-#: spine→leaf, ``("sup", spine, core)`` spine→core, ``("cdown", core,
-#: spine)`` core→spine.  Spine ids are global (``pod * spines + index``)
-#: so two pods' uplinks never alias.
-LinkKey = Tuple
 
 
 class FatTreeFabric(Fabric):
@@ -82,16 +76,6 @@ class FatTreeFabric(Fabric):
         self.levels = levels
         self.pod_leaves = pod_leaves
         self.cores = cores
-        #: busy-until horizon per interior unidirectional link
-        self._link_busy: Dict[LinkKey, int] = {}
-        #: (src, dst) -> interior link tuple, memoized (paths are static)
-        self._path_cache: Dict[Tuple[int, int], tuple] = {}
-        # observability
-        self.cross_leaf_msgs = 0
-        self.cross_pod_msgs = 0
-        #: data messages per traversed link, host links included
-        #: (``("hup", lid)`` host→leaf, ``("down", lid)`` leaf→host)
-        self.link_msgs: Dict[LinkKey, int] = {}
 
     # ------------------------------------------------------------------
     # topology arithmetic
@@ -112,18 +96,13 @@ class FatTreeFabric(Fabric):
     # ------------------------------------------------------------------
     # path enumeration
     # ------------------------------------------------------------------
-    def path_links(self, src_lid: int, dst_lid: int) -> tuple:
-        """The interior links a ``src→dst`` data message traverses, as
-        stable keys, in traversal order.  Host access links are not
-        included (they are per-endpoint, keyed by LID alone).  Empty for
-        same-leaf (and loopback) traffic."""
-        key = (src_lid, dst_lid)
-        path = self._path_cache.get(key)
-        if path is None:
-            path = self._path_cache[key] = self._build_links(src_lid, dst_lid)
-        return path
-
     def _build_links(self, src_lid: int, dst_lid: int) -> tuple:
+        """The d-mod-k route's interior links, as the keys
+        ``("up", leaf, spine)`` leaf→spine, ``("sdown", spine, leaf)``
+        spine→leaf, ``("sup", spine, core)`` spine→core and ``("cdown",
+        core, spine)`` core→spine; empty within one leaf.  Spine ids are
+        global (``pod * spines + index``) so two pods' uplinks never
+        alias."""
         src_leaf, dst_leaf = self.leaf_of(src_lid), self.leaf_of(dst_lid)
         if src_leaf == dst_leaf:
             return ()
@@ -144,86 +123,17 @@ class FatTreeFabric(Fabric):
         )
 
     # ------------------------------------------------------------------
-    def transmit(self, src_lid: int, dst_lid: int, payload_bytes: int, message: Any) -> int:
-        cfg = self.config
-        if dst_lid not in self._lids:
-            raise FabricError(f"no HCA at LID {dst_lid}")
-        now = self.sim.now
-        self.messages_sent += 1
-        self.payload_bytes += max(0, payload_bytes)
-
-        if src_lid == dst_lid:
-            ser = transfer_ns(cfg.wire_bytes(payload_bytes), cfg.pci_bytes_per_ns)
-            arrival = now + cfg.loopback_ns + ser
-            self._enqueue_data(dst_lid, arrival, message)
-            return arrival
-
-        extra = 0
-        fault = self.fault
-        if fault is not None:
-            verdict = fault.on_data(src_lid, dst_lid, payload_bytes)
-            if verdict is None:
-                return now  # lost on the wire
-            extra, scale = verdict
-        else:
-            scale = 0
-
-        wire = cfg.wire_bytes(payload_bytes)
-        self.wire_bytes += wire
-        ser = transfer_ns(wire, cfg.effective_bytes_per_ns())
-        if scale:
-            ser = max(1, int(ser * scale))
-        links = self.path_links(src_lid, dst_lid)
-        if links:
-            self.cross_leaf_msgs += 1
-            if len(links) == 4:
-                self.cross_pod_msgs += 1
-
-        cong = self.congestion
-        if cong is not None:
-            # Congested path: the shared interior egress queues (one
-            # PortQueue per port, however many routes share it) own the
-            # timing; see repro.congestion.switch.
-            cong.inject(src_lid, dst_lid, wire, ser, message, extra)
-            self.tracer.record(now, "fabric.tx", src_lid, dst_lid,
-                               payload_bytes, -1)
-            return now
-
-        lm = self.link_msgs
-        lm[("hup", src_lid)] = lm.get(("hup", src_lid), 0) + 1
-        # host -> leaf
-        start = max(now, self._up_busy[src_lid])
-        self._up_busy[src_lid] = start + ser
-        head = start + cfg.link_prop_ns + cfg.switch_delay_ns
-
-        # interior tiers (leaf->spine[->core->spine]->leaf)
-        busy = self._link_busy
-        hop_ns = cfg.link_prop_ns + cfg.switch_delay_ns
-        for link in links:
-            t = max(head, busy.get(link, 0))
-            busy[link] = t + ser
-            lm[link] = lm.get(link, 0) + 1
-            head = t + hop_ns
-
-        # leaf -> host
-        lm[("down", dst_lid)] = lm.get(("down", dst_lid), 0) + 1
-        start_down = max(head, self._down_busy[dst_lid])
-        self._down_busy[dst_lid] = start_down + ser
-        arrival = start_down + ser + cfg.link_prop_ns + extra
-        self._enqueue_data(dst_lid, arrival, message)
-        self.tracer.record(now, "fabric.tx", src_lid, dst_lid, payload_bytes, arrival)
-        return arrival
-
+    # observability (uncongested data messages, as ``link_msgs``)
     # ------------------------------------------------------------------
-    def control_path_ns(self, src_lid: int, dst_lid: int) -> int:
-        cfg = self.config
-        if src_lid == dst_lid:
-            return cfg.loopback_ns
-        ser = transfer_ns(cfg.ack_bytes, cfg.link_rate.bytes_per_ns)
-        # switches on the path: 1 same-leaf, 3 through a spine, 5 through
-        # a core — one more than the interior link count
-        hops = 1 + len(self.path_links(src_lid, dst_lid))
-        return (hops + 1) * cfg.link_prop_ns + hops * cfg.switch_delay_ns + ser
+    @property
+    def cross_leaf_msgs(self) -> int:
+        """Data messages that left their source leaf."""
+        return sum(n for link, n in self._link_msgs.items() if link[0] == "up")
+
+    @property
+    def cross_pod_msgs(self) -> int:
+        """Data messages that crossed the core tier."""
+        return sum(n for link, n in self._link_msgs.items() if link[0] == "sup")
 
     def __repr__(self) -> str:  # pragma: no cover
         shape = f"leaf_ports={self.leaf_ports} spines={self.spines}"

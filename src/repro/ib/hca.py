@@ -6,7 +6,8 @@ node, and models the two serialised engines of an InfiniHost-class adapter:
 * the **send engine** drains send WQEs from ready QPs round-robin.  Each
   WQE costs doorbell + WQE-fetch + DMA-startup time on the engine; the
   payload's serialisation is then charged on the wire by the fabric
-  (cut-through — engine and wire overlap across messages);
+  (cut-through — engine and wire overlap across messages), resolved when
+  the engine takes the WQE (see :meth:`HCA._inject`);
 * the **receive engine** turns accepted inbound messages into completions
   after per-WQE processing time (payload DMA overlaps with reception and is
   already covered by the arrival time).
@@ -26,11 +27,10 @@ from repro.ib.cq import CompletionQueue
 from repro.ib.fabric import Fabric
 from repro.ib.mr import MemoryRegion, RegistrationTable
 from repro.ib.qp import QueuePair, _Message
-from repro.ib.types import IBConfig, Opcode, WCStatus
+from repro.ib.types import Opcode, WCStatus
 from repro.ib.wr import WC, RecvWR
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
-from repro.sim.units import transfer_ns
 
 
 class HCA:
@@ -41,13 +41,13 @@ class HCA:
         sim: Simulator,
         fabric: Fabric,
         lid: int,
-        config: Optional[IBConfig] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.fabric = fabric
         self.lid = lid
-        self.config = config or fabric.config
+        #: the fabric's config: every adapter on it pays the same send cost
+        self.config = fabric.config
         self.tracer = tracer or fabric.tracer
         self.mrs = RegistrationTable(lid)
         self._qps: Dict[int, QueuePair] = {}
@@ -178,17 +178,27 @@ class HCA:
             if qp._next_injectable() is not None:
                 self._ready.append(qp)
                 self._in_ready.add(qp.qp_num)
-            cost = self.config.hca_send_wqe_ns + self.config.dma_startup_ns
-            self._send_busy = now + cost
-            # Build the message now (the WR is final once taken) and put
-            # the fabric hand-off itself on the agenda — one event, no
-            # intermediate _inject frame.
-            msg = qp._make_message(wr)
-            self.sim.call_later(
-                cost, self.fabric.transmit, self.lid, qp.remote_lid, wr.length, msg
-            )
+            # the WR is final once taken: build the message now
+            self._inject(now, qp.remote_lid, wr.length, qp._make_message(wr))
             self._schedule_pump()
             return
+
+    def _inject(self, start: int, dst_lid: int, nbytes: int, msg: _Message) -> None:
+        """The send engine takes ``msg`` at ``start`` and puts it on the
+        wire at ``at``, one doorbell + WQE fetch + DMA start-up later.
+        The fabric resolves the transmit when the engine takes the WQE —
+        the same fixed time early on every adapter, which keeps their
+        order — unless fault or congestion state makes it time-varying;
+        then it runs at ``at`` (DESIGN §5.1)."""
+        cfg = self.config
+        at = self._send_busy = start + cfg.hca_send_wqe_ns + cfg.dma_startup_ns
+        fabric = self.fabric
+        if fabric.fault is not None or fabric.congestion is not None:
+            self.sim.call_at(at, fabric.transmit, self.lid, dst_lid, nbytes, msg, at)
+        elif start == self.sim.now:
+            fabric.transmit(self.lid, dst_lid, nbytes, msg, at)
+        else:
+            self.sim.call_at(start, fabric.transmit, self.lid, dst_lid, nbytes, msg, at)
 
     # ------------------------------------------------------------------
     # receive path
@@ -269,12 +279,9 @@ class HCA:
         response.is_read_response = True
         response.read_wr_msn = msg.msn
         response.epoch = msg.epoch  # stale-epoch requests get stale responses
-        start = max(self.sim.now, self._send_busy)
-        cost = self.config.hca_send_wqe_ns + self.config.dma_startup_ns
-        self._send_busy = start + cost
-        self.sim.call_at(
-            start + cost, self.fabric.transmit, self.lid, msg.src_lid, msg.length, response
-        )
+        # queued behind the engine's current WQE, if any
+        self._inject(max(self.sim.now, self._send_busy), msg.src_lid, msg.length,
+                     response)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<HCA lid={self.lid} qps={len(self._qps)}>"

@@ -9,7 +9,7 @@ tests and ablation benches can sweep them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from repro.sim.units import gbps_to_bytes_per_ns, us
 
@@ -157,6 +157,38 @@ class IBConfig:
     #: ``None`` keeps the baseline straight-line path model bit-identical.
     congestion: "object | None" = None
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Fail fast on timing/size fields the model cannot run with.
+
+        Called at construction and again when a cluster is built (fields
+        are plain attributes, so a config can be edited in between).
+        Raises :class:`ValueError` naming the offending field."""
+        for name in TIME_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(
+                    f"IBConfig.{name} must be a non-negative int (ns), got {value!r}"
+                )
+        rate = self.pci_bytes_per_ns
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not rate > 0:
+            raise ValueError(f"IBConfig.pci_bytes_per_ns must be > 0, got {rate!r}")
+        if not self.mtu_bytes > self.pkt_header_bytes:
+            raise ValueError(
+                f"IBConfig.mtu_bytes ({self.mtu_bytes}) must exceed "
+                f"pkt_header_bytes ({self.pkt_header_bytes}): a packet must "
+                "carry a header plus payload"
+            )
+        for name in ("sq_depth", "rq_depth", "cq_depth"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"IBConfig.{name} must be an int >= 1, got {value!r}")
+        factor = self.rnr_backoff_factor
+        if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not factor >= 1:
+            raise ValueError(f"IBConfig.rnr_backoff_factor must be >= 1, got {factor!r}")
+
     def wire_bytes(self, payload_bytes: int) -> int:
         """Payload size → on-the-wire size including per-MTU-packet headers.
 
@@ -188,6 +220,13 @@ class IBConfig:
     def deregistration_ns(self, nbytes: int) -> int:
         pages = max(1, -(-nbytes // self.page_bytes))
         return self.dereg_base_ns + pages * (self.reg_per_page_ns // 4)
+
+
+#: every duration field (``*_ns``; rates are ``*_per_ns``)
+TIME_FIELDS = tuple(
+    f.name for f in fields(IBConfig)
+    if f.name.endswith("_ns") and not f.name.endswith("_per_ns")
+)
 
 
 @dataclass(slots=True)

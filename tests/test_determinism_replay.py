@@ -20,9 +20,11 @@ digest does not.
 many agenda entries the kernel needed to produce the pinned outcome.  It
 is still pinned exactly (``test_event_cost_matches_golden``) so that a
 change to it is always deliberate, but an optimisation may lower it as
-long as every digest stays put.  The rule such an optimisation follows
-is the fold rule of DESIGN §5.1: two back-to-back waits may be merged
-into one agenda entry only when no simulated state is read between them.
+long as every digest stays put.  The rules such an optimisation follows
+are in DESIGN §5.1: two back-to-back waits may be merged into one agenda
+entry only when no simulated state is read between them (the fold rule),
+and a computation may run early only when every instance of it runs the
+same fixed time early (the constant-offset rule).
 Regenerate ``events_executed`` (and ``BENCH_perf.json``) only together
 with a digest that is unchanged; regenerate a digest only for a change
 that is *meant* to alter the model, and say so in the commit message.
@@ -142,13 +144,13 @@ def test_digest_sees_one_ns_shift(monkeypatch, golden):
     orig = Fabric.transmit
     calls = [0]
 
-    def transmit(fabric, src_lid, dst_lid, nbytes, message):
+    def transmit(fabric, src_lid, dst_lid, nbytes, message, at):
         calls[0] += 1
         if calls[0] != victim:
-            return orig(fabric, src_lid, dst_lid, nbytes, message)
+            return orig(fabric, src_lid, dst_lid, nbytes, message, at)
         fabric.fault = _OneNsLater()
         try:
-            return orig(fabric, src_lid, dst_lid, nbytes, message)
+            return orig(fabric, src_lid, dst_lid, nbytes, message, at)
         finally:
             fabric.fault = None
 

@@ -19,9 +19,9 @@ def test_send_engine_serialises_wqes():
     arrivals = []
     orig = fabric.transmit
 
-    def spy(src, dst, nbytes, msg):
+    def spy(src, dst, nbytes, msg, at):
         arrivals.append(sim.now)
-        return orig(src, dst, nbytes, msg)
+        return orig(src, dst, nbytes, msg, at)
 
     fabric.transmit = spy
     for i in range(n):
@@ -43,9 +43,9 @@ def test_round_robin_across_qps():
     order = []
     orig = fabric.transmit
 
-    def spy(src, dst, nbytes, msg):
+    def spy(src, dst, nbytes, msg, at):
         order.append(dst)
-        return orig(src, dst, nbytes, msg)
+        return orig(src, dst, nbytes, msg, at)
 
     fabric.transmit = spy
     for i in range(6):

@@ -162,7 +162,7 @@ def test_transmit_to_unknown_lid_rejected():
     fabric = Fabric(sim, IBConfig())
     HCA(sim, fabric, 0)
     with pytest.raises(FabricError):
-        fabric.transmit(0, 99, 8, object())
+        fabric.transmit(0, 99, 8, object(), 0)
 
 
 def test_fabric_counters():
