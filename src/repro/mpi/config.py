@@ -102,11 +102,24 @@ class MPIConfig:
             raise ValueError(
                 f"MPIConfig.memcpy_bytes_per_ns must be > 0, got {rate!r}"
             )
+        if self.poll_overhead_ns < 1:
+            raise ValueError(
+                "MPIConfig.poll_overhead_ns must be >= 1: a progress loop "
+                "spinning on a CQ it may not drain would never advance the "
+                f"clock, got {self.poll_overhead_ns!r}"
+            )
         if self.vbuf_bytes <= self.header_bytes:
             raise ValueError(
                 f"MPIConfig.vbuf_bytes ({self.vbuf_bytes}) must exceed "
                 f"header_bytes ({self.header_bytes}): a vbuf must hold a "
                 "header plus payload"
+            )
+        rndv = self.rndv_min_bytes
+        if type(rndv) is not int or not 0 <= rndv <= self.eager_max():
+            raise ValueError(
+                f"MPIConfig.rndv_min_bytes must be an int in [0, eager_max() "
+                f"= {self.eager_max()}] (0 = eager_max()): a larger eager "
+                f"message overflows its vbuf, got {rndv!r}"
             )
 
     def eager_max(self) -> int:

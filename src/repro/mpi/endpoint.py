@@ -553,6 +553,11 @@ class Endpoint:
             polled = False
             if not cq._entries and not self._ring_ready():
                 polled = (yield park) is None
+            elif self._stall_until > sim.now:
+                nap = self._stall_nap()
+                if nap:
+                    yield Timeout(nap)
+                    polled = True
         self.wait_ns += sim.now - t0
         return request.status
 
@@ -721,6 +726,35 @@ class Endpoint:
             polled = False
             if not self.cq._entries and not self._ring_ready():
                 polled = (yield park) is None
+            elif self._stall_until > self.sim.now:
+                nap = self._stall_nap()
+                if nap:
+                    yield Timeout(nap)
+                    polled = True
+
+    def _stall_nap(self) -> int:
+        """How long a stalled progress loop may sleep in one wait: the
+        lookahead rule (DESIGN §5.1).
+
+        The loop has just polled at g = now, will not park (its CQ or ring
+        holds work it may not touch), and would next poll at g + p, g + 2p,
+        ...  A poll strictly inside the stall window handles nothing, so
+        the k - 1 polls before g + k·p change nothing as long as no agenda
+        entry can run before g + k·p.  Returns k·p for the largest such k,
+        or 0 when k < 2 (folding one poll saves nothing).  The loop then
+        resumes at g + k·p with that poll charged — the same grid instant
+        the unfolded loop polls at.
+        """
+        if self._halted:
+            return 0
+        sim = self.sim
+        now = sim.now
+        p = self._t_poll.delay
+        k = (self._stall_until - now - 1) // p + 1
+        horizon = sim.horizon()
+        if horizon is not None:
+            k = min(k, (horizon - now - 1) // p)
+        return k * p if k >= 2 else 0
 
     def _poll_once(self) -> Generator:
         """Drain the CQ and the RDMA rings, handling each completion (and

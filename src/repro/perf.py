@@ -2,14 +2,17 @@
 
 Measures *simulator throughput* (events/second of wall time), not simulated
 network performance — the paper-facing numbers live in ``benchmarks/``.
-Three canonical workloads exercise the kernel's distinct hot paths:
+Four canonical workloads exercise the kernel's distinct hot paths:
 
 * ``lu_proxy``  — the NAS LU proxy on 8 ranks: generator-heavy, dominated
   by the progress engine and same-instant FIFO;
 * ``bw4_flood`` — non-blocking 4-byte bandwidth windows on 2 ranks: the
   credit/backlog machinery and per-message fabric events;
 * ``ring64``    — a 64-rank ring exchange: wide agenda, many QPs, connection
-  fan-out.
+  fan-out;
+* ``rnr_storm`` — paced eager bursts into a receiver stalled once per burst,
+  under the hardware scheme: the fault injector, RNR NAK/retry storms and a
+  stalled progress loop (the one opt-in path the perf gate pins).
 
 Every workload is deterministic: ``events_executed`` and the final
 simulated clock are bit-identical run to run.  The final clock is part of
@@ -39,6 +42,8 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster import TestbedConfig, run_job
+from repro.faults import FaultPlan
+from repro.sim.units import us
 from repro.workloads import bandwidth_program
 from repro.workloads.nas import lu
 
@@ -94,11 +99,52 @@ def _run_ring64():
     )
 
 
+#: rnr_storm: one burst, and one receiver stall, per period
+_STORM_PERIOD_NS = us(4000)
+_STORM_ROUNDS = 50
+
+
+def _storm_program(rounds: int, burst: int, msg_bytes: int):
+    def storm(mpi):
+        for r in range(rounds):
+            if mpi.rank == 0:
+                yield from mpi.compute(r * _STORM_PERIOD_NS - mpi.now)
+                reqs = []
+                for _ in range(burst):
+                    req = yield from mpi.isend(1, size=msg_bytes)
+                    reqs.append(req)
+                yield from mpi.waitall(reqs)
+            else:
+                for _ in range(burst):
+                    yield from mpi.recv(0, capacity=msg_bytes)
+
+    return storm
+
+
+def _run_rnr_storm():
+    # The receiver-stall chaos scenario, repeated: each burst of 7 eager
+    # messages overruns the 4 posted buffers while the receiver sits out a
+    # 3.2 ms stall, so the hardware scheme's sender storms on the RNR timer.
+    plan = FaultPlan(seed=1)
+    for r in range(_STORM_ROUNDS):
+        plan.receiver_stall(rank=1, at_ns=r * _STORM_PERIOD_NS + us(5),
+                            duration_ns=us(3200))
+    return run_job(
+        _storm_program(_STORM_ROUNDS, burst=7, msg_bytes=1024),
+        2,
+        "hardware",
+        prepost=4,
+        config=TestbedConfig(nodes=2),
+        faults=plan,
+    )
+
+
 #: name -> zero-argument callable returning a JobResult
 WORKLOADS: Dict[str, Callable[[], Any]] = {
     "lu_proxy": _run_lu_proxy,
     "bw4_flood": _run_bw4_flood,
     "ring64": _run_ring64,
+    "rnr_storm": _run_rnr_storm,
 }
 
 

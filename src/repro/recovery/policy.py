@@ -29,3 +29,26 @@ class RecoveryPolicy:
     max_delay_ns: int = us(2_000)
     jitter_ns: int = us(10)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Fail fast on a policy the backoff schedule cannot run with.
+
+        Raises :class:`ValueError` naming the offending field — a
+        fractional delay would otherwise surface only at the first
+        reconnect, as a kernel error deep in a run (the delay lands on the
+        agenda, whose clock is integer nanoseconds)."""
+        for name in ("max_attempts", "base_delay_ns", "max_delay_ns", "jitter_ns"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(
+                    f"RecoveryPolicy.{name} must be a non-negative int, "
+                    f"got {value!r}"
+                )
+        factor = self.backoff_factor
+        if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not factor >= 1:
+            raise ValueError(
+                f"RecoveryPolicy.backoff_factor must be >= 1, got {factor!r}"
+            )

@@ -160,6 +160,7 @@ class Simulator:
         "_now_q",
         "_seq",
         "_running",
+        "_stop",
         "_cancelled_pending",
         "tracer",
         "events_executed",
@@ -178,6 +179,7 @@ class Simulator:
         self._now_q: Deque[tuple] = deque()  # FIFO of (seq, callback, args) at t == now
         self._seq: int = 0
         self._running = False
+        self._stop: Optional[int] = None  # the running run(until=)'s stop
         self._cancelled_pending = 0  # cancelled entries still on the agenda
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: number of events executed so far (cancelled events excluded)
@@ -428,6 +430,7 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
+        self._stop = until
         now_q = self._now_q
         popleft = now_q.popleft
         advance = self._advance
@@ -538,6 +541,7 @@ class Simulator:
         finally:
             self.events_executed = executed
             self._running = False
+            self._stop = None
             if gc_was_enabled:
                 gc.enable()
 
@@ -581,6 +585,47 @@ class Simulator:
                 e[2]._sim = None
                 continue
             return e[0]
+
+    def horizon(self) -> Optional[int]:
+        """Earliest time any queued entry could run, capped by the stop of
+        a running ``run(until=)``; ``None`` when nothing is queued and no
+        stop is set.  ``now`` while same-instant work is queued.
+
+        Read-only — no bucket rotation, no cancelled-entry discards — so a
+        callback may call it without disturbing the agenda.  A cancelled
+        entry still counts, so the answer may be earlier than the next
+        event that actually runs, never later.  The lookahead rule
+        (DESIGN §5.1) sleeps a process up to, not past, this time.
+        """
+        if self._now_q:
+            return self.now
+        active = self._active
+        i = self._head
+        if i < len(active):
+            t = active[i][0]  # the active bucket's suffix is sorted
+        else:
+            over = self._over
+            t = over[0][0] if over else None
+            if self._count:
+                # The first non-empty ring bucket holds the ring's minimum;
+                # entries past the overflow head's epoch cannot beat it.
+                buckets = self._buckets
+                cur = self._cur + 1
+                end = self._limit
+                if t is not None and (t >> _SHIFT) < end:
+                    end = (t >> _SHIFT) + 1
+                while cur < end:
+                    b = buckets[cur & _MASK]
+                    if b:
+                        first = min(b)[0]
+                        if t is None or first < t:
+                            t = first
+                        break
+                    cur += 1
+        stop = self._stop
+        if stop is not None and (t is None or stop < t):
+            return stop
+        return t
 
     @property
     def _pending(self) -> int:

@@ -2,10 +2,11 @@
 
 The kernel v3 calendar queue must be observationally identical to a plain
 binary-heap agenda: events fire in exact ``(time, seq)`` order, the
-same-instant FIFO merges by seq, cancellation suppresses callbacks, and
-``run(until=)`` parks the clock without losing future events.  These tests
-drive the real :class:`Simulator` and a deliberately simple heap-based
-reference implementation with the same seeded-random scripts — including
+same-instant FIFO merges by seq, cancellation suppresses callbacks,
+``run(until=)`` parks the clock without losing future events, and
+``horizon()`` never reports a time later than the next live entry.  These
+tests drive the real :class:`Simulator` and a deliberately simple
+heap-based reference implementation with the same seeded-random scripts — including
 delays that straddle bucket boundaries, land in the far-future overflow
 tier, and collide on the same nanosecond — and assert identical callback
 order.  This is the safety net the calendar queue lands behind.
@@ -48,6 +49,7 @@ class RefSim:
         self.events_executed = 0
         self._seq = 0
         self._q = []
+        self._stop = None
 
     def schedule(self, delay, callback, *args):
         if delay < 0:
@@ -77,6 +79,11 @@ class RefSim:
         self.call_later(interval, tick)
 
     def run(self, until=None):
+        self._stop = until
+        self._run(until)
+        self._stop = None
+
+    def _run(self, until):
         q = self._q
         while q:
             t, _seq, h, cb, args = q[0]
@@ -92,6 +99,15 @@ class RefSim:
             cb(*args)
         if until is not None and until > self.now:
             self.now = until
+
+    def horizon(self):
+        """``(next live time capped by the running stop, whether any
+        cancelled entry is still queued)``."""
+        live = [t for t, _seq, h, _cb, _args in self._q if not h.cancelled]
+        t = min(live) if live else None
+        if self._stop is not None and (t is None or self._stop < t):
+            t = self._stop
+        return t, len(live) != len(self._q)
 
 
 def _delay(rng):
@@ -112,13 +128,15 @@ def _delay(rng):
     return rng.randrange(_HORIZON, 5 * _HORIZON)  # overflow tier
 
 
-def _drive(sim, seed):
+def _drive(sim, seed, probe=None):
     """Apply an identical seeded script of schedule/cancel/call_soon/
     every/run(until=) operations to ``sim``; returns the callback log.
 
     All rng draws happen in callback/op order, which is identical between
     implementations until a divergence — at which point the logs differ
-    and the assertion reports it.
+    and the assertion reports it.  ``probe()``, if given, runs inside
+    every callback and before every op; it must draw nothing from the
+    script's rng.
     """
     rng = random.Random(seed)
     log = []
@@ -128,6 +146,8 @@ def _drive(sim, seed):
     def make_cb(label, depth):
         def cb():
             log.append((label, sim.now))
+            if probe is not None:
+                probe()
             # Nested scheduling from inside a callback, bounded depth.
             if depth < 2 and rng.random() < 0.35:
                 for _ in range(rng.randrange(1, 3)):
@@ -148,12 +168,16 @@ def _drive(sim, seed):
 
         def tick():
             log.append((label, sim.now))
+            if probe is not None:
+                probe()
             remaining[0] -= 1
             return remaining[0] > 0
 
         return tick
 
     for op in range(120):
+        if probe is not None:
+            probe()
         r = rng.random()
         if r < 0.40:
             sim.schedule(_delay(rng), make_cb(("s", op), 0))
@@ -189,6 +213,29 @@ def test_agenda_counts_match_reference(seed):
     _drive(ref, seed)
     assert real.events_executed == ref.events_executed
     assert real.now == ref.now
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_horizon_is_a_safe_lookahead(seed):
+    """``horizon()`` — read from inside callbacks, under ``run(until=)``
+    stops, and between runs — is never later than the reference heap's
+    next live entry (capped by the running stop), equals it whenever no
+    cancelled entry is queued, and leaves the execution order untouched."""
+    real, ref = Simulator(), RefSim()
+    got, want = [], []
+    real_log = _drive(real, seed, probe=lambda: got.append(real.horizon()))
+    ref_log = _drive(ref, seed, probe=lambda: want.append(ref.horizon()))
+    assert real_log == ref_log == _drive(Simulator(), seed)
+    assert real.events_executed == ref.events_executed
+    assert len(got) == len(want) > 0
+    exact = 0
+    for h, (live, cancelled_queued) in zip(got, want):
+        if cancelled_queued:
+            assert live is None or (h is not None and h <= live)
+        else:
+            assert h == live
+            exact += 1
+    assert exact
 
 
 # ----------------------------------------------------------------------

@@ -55,3 +55,27 @@ def test_vbuf_must_exceed_header(vbuf):
         MPIConfig(vbuf_bytes=vbuf)
     with pytest.raises(ValueError, match="vbuf_bytes"):
         _built_after_edit(vbuf_bytes=vbuf)
+
+
+def test_poll_overhead_must_be_positive():
+    # 0 let a stalled receiver's progress loop spin at one instant until
+    # run_job hit its max_events livelock guard
+    with pytest.raises(ValueError, match="poll_overhead_ns"):
+        MPIConfig(poll_overhead_ns=0)
+    with pytest.raises(ValueError, match="poll_overhead_ns"):
+        _built_after_edit(poll_overhead_ns=0)
+
+
+@pytest.mark.parametrize("threshold", [-1, 1985, 4096, 100.0])
+def test_rndv_threshold_must_fit_a_vbuf(threshold):
+    # 4096 used to send a 3,000-byte message eagerly into a 2 KiB vbuf;
+    # the job "completed" with a local-length-error ConnectionFailure
+    with pytest.raises(ValueError, match="rndv_min_bytes"):
+        MPIConfig(rndv_min_bytes=threshold)
+    with pytest.raises(ValueError, match="rndv_min_bytes"):
+        _built_after_edit(rndv_min_bytes=threshold)
+
+
+@pytest.mark.parametrize("threshold", [0, 1, 1984])
+def test_rndv_threshold_bounds_are_valid(threshold):
+    assert MPIConfig(rndv_min_bytes=threshold).rndv_threshold() == (threshold or 1984)

@@ -299,3 +299,33 @@ def test_recovery_failures_are_deterministic():
         return [f.to_dict() for f in r.failures], r.elapsed_ns
 
     assert once() == once()
+
+
+# ----------------------------------------------------------------------
+# RecoveryPolicy fails fast at construction
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("field, value", [
+    ("max_attempts", -1),
+    ("max_attempts", 2.0),
+    # used to construct and then raise "non-integral delay" from the
+    # kernel at the first reconnect, mid-run
+    ("base_delay_ns", 50_000.5),
+    ("base_delay_ns", -1),
+    ("max_delay_ns", -1),
+    ("max_delay_ns", 1e6),
+    ("jitter_ns", -5),
+    ("jitter_ns", 0.5),
+    ("backoff_factor", 0.5),
+    ("backoff_factor", float("nan")),
+    ("backoff_factor", True),
+])
+def test_recovery_policy_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RecoveryPolicy(**{field: value})
+
+
+def test_recovery_policy_accepts_stock_values():
+    RecoveryPolicy()
+    RecoveryPolicy(max_attempts=0, base_delay_ns=0, jitter_ns=0, backoff_factor=1)
+    RecoveryPolicy(max_attempts=6, base_delay_ns=us(6000), backoff_factor=2.0,
+                   max_delay_ns=us(20000), jitter_ns=us(10), seed=0)
